@@ -23,6 +23,15 @@
 #include "util/logging.hpp"
 
 namespace gridse::core {
+
+Transport parse_transport(const std::string& name) {
+  if (name == "inproc") return Transport::kInproc;
+  if (name == "tcp") return Transport::kTcp;
+  if (name == "medici") return Transport::kMedici;
+  if (name == "direct") return Transport::kMediciDirect;
+  throw InvalidInput("unknown transport name: " + name);
+}
+
 #if GRIDSE_OBS
 namespace {
 

@@ -33,6 +33,10 @@ enum class Transport {
   kMediciDirect,  ///< MwClient direct TCP (paper's "w/o MeDICi" mode)
 };
 
+/// Parse "inproc" | "tcp" | "medici" | "direct"; throws InvalidInput
+/// otherwise.
+Transport parse_transport(const std::string& name);
+
 /// How the "true" operating state the measurements are drawn from is
 /// produced. Full-Newton AC is exact but its per-frame cost is prohibitive
 /// at the 10k+ bus scale tiers; kDcLinearized takes sparse DC angles plus

@@ -39,16 +39,6 @@ struct DseOptions {
   /// finish the cycle degraded instead of throwing. Only meaningful with a
   /// nonzero exchange_deadline.
   bool degraded_step2 = true;
-  /// Solve this rank's hosted Step-1 subsystems in one lockstep batched
-  /// LDLᵀ sweep (estimation::batched_estimate) instead of one estimator at
-  /// a time. Falls back to the sequential path when local.robust is set
-  /// (IRLS reweights per subsystem).
-  bool batched_step1 = false;
-  /// Ship Schur-condensed boundary records (solution + marginal sigmas) in
-  /// the pseudo-measurement exchange instead of plain bus states, and let
-  /// Step 2 weight each pseudo measurement by the exporter's confidence.
-  /// Implies local.condense_boundary on the driver's estimators.
-  bool condense_boundary = false;
   /// Cross-cycle symbolic-plan registry (per-subsystem solver caches). Null
   /// = a fresh registry per run(), which still shares plans across the
   /// Gauss-Newton iterations and both steps of that cycle. Long-lived

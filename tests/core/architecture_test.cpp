@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "util/error.hpp"
+
 namespace gridse::core {
 namespace {
 
@@ -99,6 +101,17 @@ TEST(DseSystem, MediciTransportWorksEndToEnd) {
   const CycleReport rep = sys.run_cycle(0.0);
   EXPECT_TRUE(rep.dse.all_converged);
   EXPECT_LT(rep.max_vm_error, 0.02);
+}
+
+TEST(Transport, ParsesEveryNameAndRejectsUnknownOnes) {
+  EXPECT_EQ(parse_transport("inproc"), Transport::kInproc);
+  EXPECT_EQ(parse_transport("tcp"), Transport::kTcp);
+  EXPECT_EQ(parse_transport("medici"), Transport::kMedici);
+  EXPECT_EQ(parse_transport("direct"), Transport::kMediciDirect);
+  // An unknown or misspelled name must not fall back to a transport.
+  EXPECT_THROW((void)parse_transport("mpi"), InvalidInput);
+  EXPECT_THROW((void)parse_transport("TCP"), InvalidInput);
+  EXPECT_THROW((void)parse_transport(""), InvalidInput);
 }
 
 }  // namespace

@@ -263,20 +263,80 @@ TEST_F(DseDriverTest, WeccScaleScenarioConverges) {
   EXPECT_LT(grid::max_angle_error(result.state, wpf.state), 0.03);
 }
 
-TEST_F(DseDriverTest, BatchedStepOneMatchesSequential) {
-  // The batched lockstep sweep is an execution strategy, not an algorithm
-  // change: with the same direct solver the combined estimate must be
-  // bit-identical to the per-subsystem loop.
-  const auto run_with = [&](bool batched) {
+TEST_F(DseDriverTest, CondensationShrinksPseudoTrafficAndTracksTruth) {
+  // Under both Step-1 solvers: the Schur marginals are read at whichever
+  // solution the solver produced (the only condensation test under LDLᵀ).
+  for (const auto solver : {estimation::LinearSolver::kPcg,
+                            estimation::LinearSolver::kLdlt}) {
+    SCOPED_TRACE(solver == estimation::LinearSolver::kLdlt ? "ldlt" : "pcg");
+    const auto run_with = [&](bool condense) {
+      DseOptions opts;
+      opts.local.wls.solver = solver;
+      opts.local.condense_boundary = condense;
+      DseDriver driver(generated_.kase.network, d_, opts);
+      runtime::InprocWorld world(3);
+      analysis::Mutex mutex{"dse_driver_test::mutex"};
+      DseResult out;
+      std::size_t total_bytes = 0;
+      world.run([&](runtime::Communicator& c) {
+        DseResult r = driver.run(c, meas_, assignment_);
+        analysis::LockGuard lock(mutex);
+        total_bytes += r.bytes_sent;
+        if (c.rank() == 0) out = std::move(r);
+      });
+      return std::make_pair(std::move(out), total_bytes);
+    };
+    const auto [condensed, bytes_condensed] = run_with(true);
+    const auto [plain, bytes_plain] = run_with(false);
+    EXPECT_TRUE(condensed.all_converged);
+    EXPECT_TRUE(plain.all_converged);
+    // The condensed estimate still tracks the truth...
+    EXPECT_LT(grid::max_vm_error(condensed.state, pf_.state), 0.02);
+    EXPECT_LT(grid::max_angle_error(condensed.state, pf_.state), 0.02);
+    // ...while Step 2 ships condensed boundary info only: the
+    // sensitive-internal records of the plain exchange are folded into the
+    // boundary marginals, so the cycle's total traffic drops.
+    EXPECT_LT(bytes_condensed, bytes_plain);
+  }
+}
+
+TEST_F(DseDriverTest, BatchedCondensedCombinationConverges) {
+  // The fast-path features compose: LDLᵀ Step 1 on plans from a shared
+  // registry, with the boundary condensed for Step 2.
+  DseOptions opts;
+  opts.local.wls.solver = estimation::LinearSolver::kLdlt;
+  opts.local.condense_boundary = true;
+  opts.plan_registry = std::make_shared<PlanRegistry>();
+  DseDriver driver(generated_.kase.network, d_, opts);
+  runtime::InprocWorld world(3);
+  analysis::Mutex mutex{"dse_driver_test::mutex"};
+  DseResult result;
+  world.run([&](runtime::Communicator& c) {
+    DseResult r = driver.run(c, meas_, assignment_);
+    if (c.rank() == 0) {
+      analysis::LockGuard lock(mutex);
+      result = std::move(r);
+    }
+  });
+  EXPECT_TRUE(result.all_converged);
+  EXPECT_LT(grid::max_vm_error(result.state, pf_.state), 0.02);
+  EXPECT_LT(grid::max_angle_error(result.state, pf_.state), 0.02);
+}
+
+TEST_F(DseDriverTest, CondensedEstimateDoesNotDependOnTheRankCount) {
+  // The estimators' condensation option alone selects the condensed wire
+  // format, so a neighbour on another rank receives the same records (with
+  // their marginal sigmas) as one on the same rank.
+  const auto run_on = [&](const std::vector<graph::PartId>& assignment,
+                          int ranks) {
     DseOptions opts;
-    opts.local.wls.solver = estimation::LinearSolver::kLdlt;
-    opts.batched_step1 = batched;
+    opts.local.condense_boundary = true;
     DseDriver driver(generated_.kase.network, d_, opts);
-    runtime::InprocWorld world(3);
+    runtime::InprocWorld world(ranks);
     analysis::Mutex mutex{"dse_driver_test::mutex"};
     DseResult out;
     world.run([&](runtime::Communicator& c) {
-      DseResult r = driver.run(c, meas_, assignment_);
+      DseResult r = driver.run(c, meas_, assignment);
       if (c.rank() == 0) {
         analysis::LockGuard lock(mutex);
         out = std::move(r);
@@ -284,42 +344,12 @@ TEST_F(DseDriverTest, BatchedStepOneMatchesSequential) {
     });
     return out;
   };
-  const DseResult batched = run_with(true);
-  const DseResult sequential = run_with(false);
-  EXPECT_TRUE(batched.all_converged);
-  EXPECT_TRUE(sequential.all_converged);
-  EXPECT_LT(grid::max_vm_error(batched.state, sequential.state), 1e-12);
-  EXPECT_LT(grid::max_angle_error(batched.state, sequential.state), 1e-12);
-}
-
-TEST_F(DseDriverTest, CondensationShrinksPseudoTrafficAndTracksTruth) {
-  const auto run_with = [&](bool condense) {
-    DseOptions opts;
-    opts.condense_boundary = condense;
-    DseDriver driver(generated_.kase.network, d_, opts);
-    runtime::InprocWorld world(3);
-    analysis::Mutex mutex{"dse_driver_test::mutex"};
-    DseResult out;
-    std::size_t total_bytes = 0;
-    world.run([&](runtime::Communicator& c) {
-      DseResult r = driver.run(c, meas_, assignment_);
-      analysis::LockGuard lock(mutex);
-      total_bytes += r.bytes_sent;
-      if (c.rank() == 0) out = std::move(r);
-    });
-    return std::make_pair(std::move(out), total_bytes);
-  };
-  const auto [condensed, bytes_condensed] = run_with(true);
-  const auto [plain, bytes_plain] = run_with(false);
-  EXPECT_TRUE(condensed.all_converged);
-  EXPECT_TRUE(plain.all_converged);
-  // The condensed estimate still tracks the truth...
-  EXPECT_LT(grid::max_vm_error(condensed.state, pf_.state), 0.02);
-  EXPECT_LT(grid::max_angle_error(condensed.state, pf_.state), 0.02);
-  // ...while Step 2 ships condensed boundary info only: the
-  // sensitive-internal records of the plain exchange are folded into the
-  // boundary marginals, so the cycle's total traffic drops.
-  EXPECT_LT(bytes_condensed, bytes_plain);
+  const DseResult one = run_on(std::vector<graph::PartId>(9, 0), 1);
+  const DseResult three = run_on(assignment_, 3);
+  EXPECT_TRUE(one.all_converged);
+  EXPECT_TRUE(three.all_converged);
+  EXPECT_EQ(one.state.vm, three.state.vm);
+  EXPECT_EQ(one.state.theta, three.state.theta);
 }
 
 TEST_F(DseDriverTest, SharedPlanRegistryIsReusedAcrossCycles) {
@@ -364,29 +394,6 @@ TEST_F(DseDriverTest, SharedPlanRegistryIsReusedAcrossCycles) {
   });
   EXPECT_GT(registry->stats().cache.plan_misses, misses_after_invalidate);
   EXPECT_LT(grid::max_vm_error(first_state, third_state), 1e-12);
-}
-
-TEST_F(DseDriverTest, BatchedCondensedCombinationConverges) {
-  // The two fast-path features compose.
-  DseOptions opts;
-  opts.local.wls.solver = estimation::LinearSolver::kLdlt;
-  opts.batched_step1 = true;
-  opts.condense_boundary = true;
-  opts.plan_registry = std::make_shared<PlanRegistry>();
-  DseDriver driver(generated_.kase.network, d_, opts);
-  runtime::InprocWorld world(3);
-  analysis::Mutex mutex{"dse_driver_test::mutex"};
-  DseResult result;
-  world.run([&](runtime::Communicator& c) {
-    DseResult r = driver.run(c, meas_, assignment_);
-    if (c.rank() == 0) {
-      analysis::LockGuard lock(mutex);
-      result = std::move(r);
-    }
-  });
-  EXPECT_TRUE(result.all_converged);
-  EXPECT_LT(grid::max_vm_error(result.state, pf_.state), 0.02);
-  EXPECT_LT(grid::max_angle_error(result.state, pf_.state), 0.02);
 }
 
 TEST_F(DseDriverTest, ExchangeVolumeIsSmall) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "estimation/solver_cache.hpp"
 #include "grid/meas_generator.hpp"
 #include "grid/powerflow.hpp"
 #include "io/case14.hpp"
@@ -178,6 +181,47 @@ TEST(Wls, RegularizationKeepsNearSingularSolvable) {
   WlsEstimator est(d.kase.network, opts);
   const WlsResult r = est.estimate(d.noisy);
   EXPECT_TRUE(r.converged);
+}
+
+TEST(Wls, WarmStartWithReusedPlansMatchesFromScratch) {
+  // Cycle 2 of a DSE run: a warm initial state and a shared SolverCache
+  // that already holds every symbolic artifact. The answer must be
+  // bit-identical to an estimator on a fresh cache started the same way.
+  const io::GeneratedCase g = io::ieee118_dse();
+  const grid::PowerFlowResult pf = grid::solve_power_flow(g.kase.network);
+  grid::MeasurementGenerator gen(g.kase.network, {});
+  Rng rng(64);
+  const grid::MeasurementSet meas = gen.generate(pf.state, rng);
+
+  for (const auto solver : {LinearSolver::kLdlt, LinearSolver::kPcg}) {
+    SCOPED_TRACE(solver == LinearSolver::kLdlt ? "ldlt" : "pcg");
+    WlsOptions opts;
+    opts.solver = solver;
+    opts.cache = std::make_shared<SolverCache>();
+    const WlsEstimator shared(g.kase.network, opts);
+    const WlsResult cold = shared.estimate(meas);
+    ASSERT_TRUE(cold.converged);
+    EXPECT_GT(opts.cache->stats().plan_misses, 0u);
+
+    const SolverCache::Stats before = opts.cache->stats();
+    const WlsResult warm = shared.estimate(meas, cold.state);
+    // The warm solve analyzed nothing new...
+    EXPECT_EQ(opts.cache->stats().plan_misses, before.plan_misses);
+    EXPECT_GT(opts.cache->stats().plan_hits, before.plan_hits);
+
+    // ...and matches a fresh-cache estimator warm-started the same way.
+    WlsOptions fresh_opts = opts;
+    fresh_opts.cache = std::make_shared<SolverCache>();
+    const WlsResult fresh =
+        WlsEstimator(g.kase.network, fresh_opts).estimate(meas, cold.state);
+    ASSERT_TRUE(warm.converged);
+    EXPECT_EQ(warm.iterations, fresh.iterations);
+    EXPECT_EQ(warm.inner_iterations, fresh.inner_iterations);
+    EXPECT_EQ(warm.objective, fresh.objective);
+    EXPECT_EQ(warm.state.vm, fresh.state.vm);
+    EXPECT_EQ(warm.state.theta, fresh.state.theta);
+    EXPECT_EQ(warm.residuals, fresh.residuals);
+  }
 }
 
 }  // namespace

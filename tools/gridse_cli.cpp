@@ -141,6 +141,8 @@ int cmd_se(const Args& args) {
   return result.converged ? 0 : 1;
 }
 
+void usage();
+
 int cmd_dse(const Args& args) {
   auto generated = builtin_generated(args.target, 0);
   if (!generated) {
@@ -159,11 +161,14 @@ int cmd_dse(const Args& args) {
   }
   core::SystemConfig config;
   config.mapping.num_clusters = opt_int(args, "clusters", 3);
-  const std::string transport = opt_str(args, "transport", "inproc");
-  config.transport = transport == "tcp"      ? core::Transport::kTcp
-                     : transport == "medici" ? core::Transport::kMedici
-                     : transport == "direct" ? core::Transport::kMediciDirect
-                                             : core::Transport::kInproc;
+  try {
+    config.transport =
+        core::parse_transport(opt_str(args, "transport", "inproc"));
+  } catch (const InvalidInput& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    usage();
+    return 2;
+  }
   config.dse.step2_rounds = opt_int(args, "rounds", 1);
   core::DseSystem system(*generated, config);
   const int cycles = opt_int(args, "cycles", 1);

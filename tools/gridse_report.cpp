@@ -27,6 +27,7 @@
 #include "core/architecture.hpp"
 #include "io/synthetic.hpp"
 #include "obs/metrics.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -99,10 +100,13 @@ int run(const Args& args) {
   core::SystemConfig config;
   config.mapping.num_clusters = opt_int(args, "clusters", 3);
   const std::string transport = opt_str(args, "transport", "medici");
-  config.transport = transport == "tcp"      ? core::Transport::kTcp
-                     : transport == "medici" ? core::Transport::kMedici
-                     : transport == "direct" ? core::Transport::kMediciDirect
-                                             : core::Transport::kInproc;
+  try {
+    config.transport = core::parse_transport(transport);
+  } catch (const InvalidInput& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    usage();
+    return 2;
+  }
   config.dse.step2_rounds = opt_int(args, "rounds", 1);
   const int cycles = opt_int(args, "cycles", 3);
 
