@@ -38,13 +38,14 @@ int main() {
                   (2 * kase.network.num_buses() - 1));
 
   // 4. Estimate the state with weighted least squares. The default solver is
-  //    the paper's preconditioned conjugate gradient (IC(0) preconditioner).
+  //    sparse LDLᵀ under an approximate minimum degree ordering; set
+  //    WlsOptions::solver = kPcg for the paper's IC(0)-preconditioned CG.
   const estimation::WlsEstimator estimator(kase.network);
   const estimation::WlsResult result = estimator.estimate(scan);
-  std::printf("WLS converged: %s after %d Gauss-Newton iterations "
-              "(%d inner PCG iterations), J(x) = %.2f\n",
+  std::printf("WLS converged: %s after %d Gauss-Newton iterations, "
+              "J(x) = %.2f\n",
               result.converged ? "yes" : "no", result.iterations,
-              result.inner_iterations, result.objective);
+              result.objective);
 
   // 5. Check estimate quality against the known truth and the chi-square
   //    bad-data test.

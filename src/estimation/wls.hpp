@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 
 #include "grid/meas_model.hpp"
 #include "grid/measurement.hpp"
@@ -17,9 +18,13 @@ class SolverCache;
 /// each Gauss–Newton iteration.
 enum class LinearSolver {
   kPcg,   ///< preconditioned conjugate gradient (the paper's solver, §IV-C)
-  kLdlt,  ///< sparse direct LDLᵀ (baseline)
+  kLdlt,  ///< sparse direct LDLᵀ on an AMD-ordered cached plan (default)
   kDense  ///< dense Cholesky (reference; tiny systems only)
 };
+
+/// Solver from its command-line name: "pcg", "ldlt" or "dense". Throws
+/// InvalidInput on any other name.
+LinearSolver parse_linear_solver(const std::string& name);
 
 struct WlsOptions {
   /// Gauss–Newton stops when max |Δx| falls below this (10⁻⁶ p.u./radians
@@ -27,7 +32,9 @@ struct WlsOptions {
   /// solver's own tolerance on large systems).
   double tolerance = 1e-6;
   int max_iterations = 25;
-  LinearSolver solver = LinearSolver::kPcg;
+  /// LDLᵀ factors faster than IC(0) build + PCG on every measured tier
+  /// (docs/SOLVER.md); kPcg keeps the paper's solver selectable.
+  LinearSolver solver = LinearSolver::kLdlt;
   sparse::PreconditionerKind preconditioner = sparse::PreconditionerKind::kIc0;
   /// Relative tolerance for the inner PCG solve.
   double cg_tolerance = 1e-12;

@@ -15,10 +15,11 @@ namespace gridse::sparse {
 /// subsystem gain matrices.
 class SparseLdlt {
  public:
-  /// Factor `a` (must be structurally and numerically symmetric). When
-  /// `use_rcm` is set, a reverse Cuthill–McKee permutation is applied first
-  /// to reduce fill. Throws `ConvergenceFailure` on a zero pivot.
-  void factorize(const Csr& a, bool use_rcm = true);
+  /// Factor `a` (must be structurally and numerically symmetric). Analyzes
+  /// a one-off SymbolicPlan — with `use_ordering`, under the approximate
+  /// minimum degree fill-reducing permutation — and factors on it. Throws
+  /// `ConvergenceFailure` on a zero pivot.
+  void factorize(const Csr& a, bool use_ordering = true);
 
   /// Numeric-only refactorization over a precomputed SymbolicPlan: ordering,
   /// permutation, and symbolic analysis are skipped entirely, and the factor
@@ -37,15 +38,11 @@ class SparseLdlt {
 
  private:
   Index n_ = 0;
-  // L in compressed-sparse-column form, unit diagonal implicit.
-  std::vector<Index> lp_;
+  // L in compressed-sparse-column form over the plan's column pointers,
+  // unit diagonal implicit; the permutation lives in the plan.
   std::vector<Index> li_;
   std::vector<double> lx_;
   std::vector<double> d_;
-  std::vector<Index> perm_;      // perm_[new] = old (identity when RCM off)
-  std::vector<Index> perm_inv_;  // perm_inv_[old] = new
-  // Plan-driven mode: pattern/permutation live in the shared plan and the
-  // members above (except li_/lx_/d_) stay empty.
   std::shared_ptr<const SymbolicPlan> plan_;
   detail::LdltScratch scratch_;
 };

@@ -46,6 +46,8 @@ ObjectiveRun run_objective(const io::GeneratedCase& base,
   // objective comparison).
   cfg.truth_mode = TruthMode::kDcLinearized;
   cfg.mapping.num_clusters = 1;
+  // The inner-iteration comparison below needs an iterative solver.
+  cfg.dse.local.wls.solver = estimation::LinearSolver::kPcg;
   DseSystem sys(std::move(gc), cfg);
   const CycleReport rep = sys.run_cycle(0.0);
   EXPECT_TRUE(rep.dse.all_converged);

@@ -224,5 +224,41 @@ TEST(Wls, WarmStartWithReusedPlansMatchesFromScratch) {
   }
 }
 
+TEST(Wls, DefaultSolverMatchesPcgOnIeee118AndWecc37) {
+  // The default is the AMD-ordered LDLᵀ; the paper's PCG/IC(0) solves the
+  // same normal equations to a 1e-12 relative residual, so both must land
+  // on the same estimate in the same number of Gauss–Newton iterations.
+  EXPECT_EQ(WlsOptions{}.solver, LinearSolver::kLdlt);
+  for (const io::GeneratedCase& g : {io::ieee118_dse(), io::wecc37()}) {
+    SCOPED_TRACE(g.kase.name);
+    const grid::PowerFlowResult pf = grid::solve_power_flow(g.kase.network);
+    grid::MeasurementGenerator gen(g.kase.network, {});
+    Rng rng(118);
+    const grid::MeasurementSet meas = gen.generate(pf.state, rng);
+
+    const WlsResult direct = WlsEstimator(g.kase.network).estimate(meas);
+    WlsOptions pcg_opts;
+    pcg_opts.solver = LinearSolver::kPcg;
+    const WlsResult pcg =
+        WlsEstimator(g.kase.network, pcg_opts).estimate(meas);
+    ASSERT_TRUE(direct.converged);
+    ASSERT_TRUE(pcg.converged);
+    EXPECT_EQ(direct.iterations, pcg.iterations);
+    EXPECT_EQ(direct.inner_iterations, 0);
+    EXPECT_GT(pcg.inner_iterations, 0);
+    EXPECT_LT(grid::max_vm_error(direct.state, pcg.state), 1e-8);
+    EXPECT_LT(grid::max_angle_error(direct.state, pcg.state), 1e-8);
+  }
+}
+
+TEST(Wls, ParseLinearSolverNames) {
+  EXPECT_EQ(parse_linear_solver("pcg"), LinearSolver::kPcg);
+  EXPECT_EQ(parse_linear_solver("ldlt"), LinearSolver::kLdlt);
+  EXPECT_EQ(parse_linear_solver("dense"), LinearSolver::kDense);
+  EXPECT_THROW(parse_linear_solver("bogus"), InvalidInput);
+  EXPECT_THROW(parse_linear_solver(""), InvalidInput);
+  EXPECT_THROW(parse_linear_solver("LDLT"), InvalidInput);
+}
+
 }  // namespace
 }  // namespace gridse::estimation

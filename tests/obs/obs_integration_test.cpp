@@ -5,6 +5,8 @@
 // no-op" guarantee the release preset relies on.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/architecture.hpp"
 #include "io/synthetic.hpp"
 #include "obs/metrics.hpp"
@@ -12,11 +14,13 @@
 namespace gridse {
 namespace {
 
-obs::Snapshot run_ieee118_and_snapshot() {
+obs::Snapshot run_ieee118_and_snapshot(
+    std::optional<estimation::LinearSolver> solver = std::nullopt) {
   obs::MetricsRegistry::global().reset();
   core::SystemConfig config;
   config.mapping.num_clusters = 3;
   config.transport = core::Transport::kInproc;
+  if (solver) config.dse.local.wls.solver = *solver;
   core::DseSystem system(io::ieee118_dse(2012), config);
   const core::CycleReport rep = system.run_cycle(0.0);
   EXPECT_TRUE(rep.dse.all_converged);
@@ -39,7 +43,9 @@ TEST(ObsIntegration, DseRunPopulatesPhaseSpans) {
 }
 
 TEST(ObsIntegration, DseRunPopulatesSolverHistograms) {
-  const obs::Snapshot snap = run_ieee118_and_snapshot();
+  // The PCG iteration histogram is recorded by the PCG solver only.
+  const obs::Snapshot snap =
+      run_ieee118_and_snapshot(estimation::LinearSolver::kPcg);
   ASSERT_TRUE(snap.histograms.contains("wls.pcg.iterations"));
   const obs::HistogramSnapshot& pcg = snap.histograms.at("wls.pcg.iterations");
   EXPECT_GT(pcg.count, 0u);

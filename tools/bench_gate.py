@@ -7,12 +7,12 @@ gridse_report. Output: one merged document (schema "gridse-bench-ci/1")
 with two metric classes:
 
 * "enforced" — deterministic given the seeded inputs: solver iteration
-  counts, lane counts, and exchange byte counts. Any benchmark counter
-  whose name ends in "_iters", "_bytes", or "_lanes" (or is exactly
-  "lanes") is promoted to this class automatically. A growth beyond
-  --tolerance (default 25%) over the committed BENCH_baseline.json fails
-  the job; these moving means the algorithm changed, not that the runner
-  was busy.
+  counts, lane counts, LDLt factor sizes, and exchange byte counts. Any
+  benchmark counter whose name ends in "_iters", "_bytes", "_lanes" or
+  "_nnz" (or is exactly "lanes") is promoted to this class automatically.
+  A growth beyond --tolerance (default 25%) over the committed
+  BENCH_baseline.json fails the job; these moving means the algorithm
+  changed, not that the runner was busy.
 * "advisory" — wall-clock numbers. Republished for trend dashboards but
   never gated: shared CI runners are too noisy for time-based gates.
 * "informational" — resilience counters (exchange.retries,
@@ -71,7 +71,7 @@ def load(path):
 #: Benchmark counters promoted from advisory to enforced: anything ending
 #: in one of these suffixes (or named exactly "lanes") is deterministic
 #: given the seeded inputs, so drift means an algorithm change.
-ENFORCED_COUNTER_SUFFIXES = ("_iters", "_bytes", "_lanes")
+ENFORCED_COUNTER_SUFFIXES = ("_iters", "_bytes", "_lanes", "_nnz")
 ENFORCED_COUNTER_NAMES = ("lanes",)
 
 
@@ -180,11 +180,13 @@ def merge(bench_docs, report):
     metrics = report.get("metrics", {})
     cycles = max(1, doc["cycles"])
 
-    for hist_name in ("wls.pcg.iterations", "wls.gauss_newton_iterations"):
-        hist = metrics.get("histograms", {}).get(hist_name)
-        if hist and hist.get("count"):
-            doc["enforced"][f"obs.{hist_name}.mean"] = hist["sum"] / hist["count"]
-            doc["enforced"][f"obs.{hist_name}.max"] = hist["max"]
+    # The DSE run uses the default (direct) solver, so inner PCG iterations
+    # are gated by the bench_pcg_solvers cg_iters counters instead.
+    hist = metrics.get("histograms", {}).get("wls.gauss_newton_iterations")
+    if hist and hist.get("count"):
+        doc["enforced"]["obs.wls.gauss_newton_iterations.mean"] = (
+            hist["sum"] / hist["count"])
+        doc["enforced"]["obs.wls.gauss_newton_iterations.max"] = hist["max"]
 
     for counter in ("dse.pseudo.bytes", "dse.combine.bytes", "dse.pseudo.messages",
                     "dse.combine.messages", "dse.redistribute.bytes",

@@ -1,7 +1,7 @@
 // gridse_cli — command-line front end for the GridSE library.
 //
 //   gridse_cli info <case>
-//   gridse_cli se <case> [--noise X] [--seed N] [--solver pcg|ldlt|dense]
+//   gridse_cli se <case> [--noise X] [--seed N] [--solver ldlt|pcg|dense]
 //                        [--precond none|jacobi|ssor|ic0]
 //   gridse_cli dse <builtin-case> [--clusters K] [--transport T] [--cycles N]
 //   gridse_cli contingency <case> [--margin M]
@@ -9,11 +9,14 @@
 //
 // <case> is a case-file path or a builtin name: ieee14, ieee118, wecc37.
 // dse/partition need the builtin cases (they carry a decomposition).
+// A malformed command line (unknown option value, non-numeric number, an
+// option without its value) prints the usage and exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "apps/contingency.hpp"
@@ -38,33 +41,74 @@ struct Args {
   std::map<std::string, std::string> options;
 };
 
+/// A malformed command line; main prints it with the usage and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
   if (argc >= 3 && argv[2][0] != '-') args.target = argv[2];
   for (int i = 3; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0 && i + 1 < argc) {
-      args.options[key.substr(2)] = argv[++i];
+    const std::string key = argv[i];
+    if (key.rfind("--", 0) != 0) {
+      throw UsageError("unexpected argument '" + key + "'");
     }
+    if (i + 1 == argc) throw UsageError("option " + key + " needs a value");
+    args.options[key.substr(2)] = argv[++i];
   }
   return args;
 }
 
-double opt_double(const Args& a, const std::string& key, double fallback) {
+/// Value of --key parsed whole by `parse` (std::stod / std::stoi), or the
+/// fallback when the option is absent.
+template <typename T, typename Parse>
+T opt_number(const Args& a, const std::string& key, T fallback, Parse parse,
+             const char* kind) {
   const auto it = a.options.find(key);
-  return it == a.options.end() ? fallback : std::stod(it->second);
+  if (it == a.options.end()) return fallback;
+  try {
+    std::size_t used = 0;
+    const T value = parse(it->second, &used);
+    if (used == it->second.size()) return value;
+  } catch (const std::logic_error&) {
+    // invalid_argument / out_of_range: reported below
+  }
+  throw UsageError("--" + key + " expects " + kind + ", got '" + it->second +
+                   "'");
+}
+
+double opt_double(const Args& a, const std::string& key, double fallback) {
+  const auto parse = [](const std::string& s, std::size_t* used) {
+    return std::stod(s, used);
+  };
+  return opt_number(a, key, fallback, parse, "a number");
 }
 
 int opt_int(const Args& a, const std::string& key, int fallback) {
-  const auto it = a.options.find(key);
-  return it == a.options.end() ? fallback : std::stoi(it->second);
+  const auto parse = [](const std::string& s, std::size_t* used) {
+    return std::stoi(s, used);
+  };
+  return opt_number(a, key, fallback, parse, "an integer");
 }
 
 std::string opt_str(const Args& a, const std::string& key,
                     const std::string& fallback) {
   const auto it = a.options.find(key);
   return it == a.options.end() ? fallback : it->second;
+}
+
+/// --key mapped through a library name parser, which throws InvalidInput
+/// on an unknown name: here that is a usage error.
+template <typename Parse>
+auto opt_named(const Args& a, const std::string& key,
+               const std::string& fallback, Parse parse) {
+  try {
+    return parse(opt_str(a, key, fallback));
+  } catch (const InvalidInput& e) {
+    throw UsageError(e.what());
+  }
 }
 
 /// Resolve a builtin generated case (with decomposition), if the name is one.
@@ -109,6 +153,18 @@ int cmd_info(const Args& args) {
   return pf.converged ? 0 : 1;
 }
 
+const char* solver_name(estimation::LinearSolver solver) {
+  switch (solver) {
+    case estimation::LinearSolver::kPcg:
+      return "pcg";
+    case estimation::LinearSolver::kLdlt:
+      return "ldlt";
+    case estimation::LinearSolver::kDense:
+      return "dense";
+  }
+  return "?";
+}
+
 int cmd_se(const Args& args) {
   const io::Case c = resolve_case(args.target, 0);
   const grid::PowerFlowResult pf = grid::solve_power_flow(c.network);
@@ -119,17 +175,18 @@ int cmd_se(const Args& args) {
   const grid::MeasurementSet meas = gen.generate(pf.state, rng);
 
   estimation::WlsOptions opts;
-  const std::string solver = opt_str(args, "solver", "pcg");
-  opts.solver = solver == "ldlt"    ? estimation::LinearSolver::kLdlt
-                : solver == "dense" ? estimation::LinearSolver::kDense
-                                    : estimation::LinearSolver::kPcg;
+  if (args.options.contains("solver")) {  // else the WlsOptions default
+    opts.solver =
+        opt_named(args, "solver", "", estimation::parse_linear_solver);
+  }
   opts.preconditioner =
-      sparse::parse_preconditioner(opt_str(args, "precond", "ic0"));
+      opt_named(args, "precond", "ic0", sparse::parse_preconditioner);
 
   const estimation::WlsEstimator estimator(c.network, opts);
   const estimation::WlsResult result = estimator.estimate(meas);
   std::printf("WLS (%s): %s, %d iterations (%d inner), J = %.2f\n",
-              solver.c_str(), result.converged ? "converged" : "FAILED",
+              solver_name(opts.solver),
+              result.converged ? "converged" : "FAILED",
               result.iterations, result.inner_iterations, result.objective);
   std::printf("max |V| error %.3e pu, max angle error %.3e rad vs truth\n",
               grid::max_vm_error(result.state, pf.state),
@@ -140,8 +197,6 @@ int cmd_se(const Args& args) {
               chi.suspect_bad_data ? "bad data suspected" : "clean");
   return result.converged ? 0 : 1;
 }
-
-void usage();
 
 int cmd_dse(const Args& args) {
   auto generated = builtin_generated(args.target, 0);
@@ -161,14 +216,8 @@ int cmd_dse(const Args& args) {
   }
   core::SystemConfig config;
   config.mapping.num_clusters = opt_int(args, "clusters", 3);
-  try {
-    config.transport =
-        core::parse_transport(opt_str(args, "transport", "inproc"));
-  } catch (const InvalidInput& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    usage();
-    return 2;
-  }
+  config.transport =
+      opt_named(args, "transport", "inproc", core::parse_transport);
   config.dse.step2_rounds = opt_int(args, "rounds", 1);
   core::DseSystem system(*generated, config);
   const int cycles = opt_int(args, "cycles", 1);
@@ -237,7 +286,7 @@ void usage() {
       "usage: gridse_cli <command> <case> [options]\n"
       "  commands: info | se | dse | contingency | partition\n"
       "  cases: ieee14 | ieee118 | wecc37 | <path to case file>\n"
-      "  se options:   --noise X --seed N --solver pcg|ldlt|dense "
+      "  se options:   --noise X --seed N --solver ldlt|pcg|dense "
       "--precond none|jacobi|ssor|ic0\n"
       "  dse options:  --clusters K --transport inproc|tcp|medici|direct "
       "--cycles N --rounds R\n"
@@ -248,13 +297,17 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
   try {
+    const Args args = parse_args(argc, argv);
     if (args.command == "info") return cmd_info(args);
     if (args.command == "se") return cmd_se(args);
     if (args.command == "dse") return cmd_dse(args);
     if (args.command == "contingency") return cmd_contingency(args);
     if (args.command == "partition") return cmd_partition(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    usage();
+    return 2;
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -21,6 +21,7 @@
 // --table the human-readable registry dump is also printed to stdout.
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,9 +55,23 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
+/// A malformed option value; main prints it with the usage and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 int opt_int(const Args& a, const std::string& key, int fallback) {
   const auto it = a.options.find(key);
-  return it == a.options.end() ? fallback : std::stoi(it->second);
+  if (it == a.options.end()) return fallback;
+  try {
+    std::size_t used = 0;
+    const int value = std::stoi(it->second, &used);
+    if (used == it->second.size()) return value;
+  } catch (const std::logic_error&) {
+    // invalid_argument / out_of_range: reported below
+  }
+  throw UsageError("--" + key + " expects an integer, got '" + it->second +
+                   "'");
 }
 
 std::string opt_str(const Args& a, const std::string& key,
@@ -236,6 +251,10 @@ int main(int argc, char** argv) {
   }
   try {
     return run(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    usage();
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
