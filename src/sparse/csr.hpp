@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -23,46 +25,73 @@ struct Triplet {
 
 /// Compressed-sparse-row matrix over `T` (double for real systems,
 /// std::complex<double> for the bus admittance matrix). Immutable after
-/// construction; assembly goes through `from_triplets` which sorts and sums
-/// duplicate entries.
+/// construction; assembly goes through `from_triplets`, which buckets the
+/// entries by row, sorts each row and sums duplicate entries.
 template <typename T>
 class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Build from triplets. Duplicates (same row and col) are summed, which is
-  /// exactly the accumulation semantics Ybus/Jacobian assembly needs.
+  /// Build from triplets. Duplicates (same row and col) are summed in input
+  /// order, which is exactly the accumulation semantics Ybus/Jacobian
+  /// assembly needs. A stable counting sort buckets the triplets by row,
+  /// then each row is sorted by (column, input position): O(nnz) plus a
+  /// sort of each (short) row instead of one global sort.
   static CsrMatrix from_triplets(Index rows, Index cols,
                                  std::vector<Triplet<T>> triplets) {
     GRIDSE_CHECK(rows >= 0 && cols >= 0);
+    GRIDSE_CHECK(triplets.size() <
+                 static_cast<std::size_t>(std::numeric_limits<Index>::max()));
+    std::vector<Index> start(static_cast<std::size_t>(rows) + 1, 0);
     for (const auto& t : triplets) {
       GRIDSE_CHECK_MSG(t.row >= 0 && t.row < rows && t.col >= 0 && t.col < cols,
                        "triplet index out of range");
+      ++start[static_cast<std::size_t>(t.row) + 1];
     }
-    std::sort(triplets.begin(), triplets.end(),
-              [](const Triplet<T>& a, const Triplet<T>& b) {
-                return a.row != b.row ? a.row < b.row : a.col < b.col;
-              });
+    for (Index r = 0; r < rows; ++r) {
+      start[static_cast<std::size_t>(r) + 1] +=
+          start[static_cast<std::size_t>(r)];
+    }
+    // (column, input position) per triplet, bucketed by row in input order.
+    std::vector<std::pair<Index, Index>> keyed(triplets.size());
+    {
+      std::vector<Index> next(start.begin(), start.end() - 1);
+      for (std::size_t k = 0; k < triplets.size(); ++k) {
+        const auto slot = static_cast<std::size_t>(
+            next[static_cast<std::size_t>(triplets[k].row)]++);
+        keyed[slot] = {triplets[k].col, static_cast<Index>(k)};
+      }
+    }
     CsrMatrix m;
     m.rows_ = rows;
     m.cols_ = cols;
     m.row_ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
-    for (std::size_t i = 0; i < triplets.size();) {
-      std::size_t j = i;
-      T sum{};
-      while (j < triplets.size() && triplets[j].row == triplets[i].row &&
-             triplets[j].col == triplets[i].col) {
-        sum += triplets[j].value;
-        ++j;
-      }
-      m.col_idx_.push_back(triplets[i].col);
-      m.values_.push_back(sum);
-      ++m.row_ptr_[static_cast<std::size_t>(triplets[i].row) + 1];
-      i = j;
-    }
     for (Index r = 0; r < rows; ++r) {
-      m.row_ptr_[static_cast<std::size_t>(r) + 1] +=
-          m.row_ptr_[static_cast<std::size_t>(r)];
+      const auto b = keyed.begin() + start[static_cast<std::size_t>(r)];
+      const auto e = keyed.begin() + start[static_cast<std::size_t>(r) + 1];
+      std::sort(b, e);
+      Index distinct = 0;
+      for (auto it = b; it != e; ++it) {
+        if (it == b || it->first != (it - 1)->first) ++distinct;
+      }
+      m.row_ptr_[static_cast<std::size_t>(r) + 1] =
+          m.row_ptr_[static_cast<std::size_t>(r)] + distinct;
+    }
+    m.col_idx_.resize(static_cast<std::size_t>(m.row_ptr_.back()));
+    m.values_.resize(m.col_idx_.size());
+    std::size_t out = 0;
+    for (Index r = 0; r < rows; ++r) {
+      const auto e = keyed.begin() + start[static_cast<std::size_t>(r) + 1];
+      for (auto it = keyed.begin() + start[static_cast<std::size_t>(r)];
+           it != e; ++out) {
+        const Index c = it->first;
+        T sum{};
+        for (; it != e && it->first == c; ++it) {
+          sum += triplets[static_cast<std::size_t>(it->second)].value;
+        }
+        m.col_idx_[out] = c;
+        m.values_[out] = sum;
+      }
     }
     return m;
   }

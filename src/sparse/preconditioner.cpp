@@ -110,6 +110,8 @@ Ic0Preconditioner::Ic0Preconditioner(const Csr& a, const SymbolicPlan& plan) {
                        static_cast<std::uint64_t>(a.nnz()) ==
                            plan.fingerprint().nnz,
                    "IC(0): matrix does not match the symbolic plan");
+  GRIDSE_CHECK_MSG(!plan.ordered(),
+                   "IC(0): needs an unordered plan (its tril(A) facet)");
   const auto lt_ptr = plan.lower_row_ptr();
   const auto lt_col = plan.lower_col_idx();
   const auto lt_map = plan.lower_value_map();

@@ -65,9 +65,9 @@ class Ic0Preconditioner final : public Preconditioner {
   explicit Ic0Preconditioner(const Csr& a);
 
   /// Pattern-reuse construction: the lower-triangle structure comes from a
-  /// precomputed SymbolicPlan (one gather pass over a.values(), no triplet
-  /// rebuild). Numerically identical to the plain constructor; this is the
-  /// per-Gauss–Newton-iteration fast path on a fixed topology.
+  /// precomputed unordered SymbolicPlan (one gather pass over a.values(), no
+  /// triplet rebuild). Numerically identical to the plain constructor; this
+  /// is the per-Gauss–Newton-iteration fast path on a fixed topology.
   Ic0Preconditioner(const Csr& a, const SymbolicPlan& plan);
 
   void apply(std::span<const double> r, std::span<double> z) const override;

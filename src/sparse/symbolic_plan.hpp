@@ -50,17 +50,18 @@ PatternFingerprint fingerprint_pattern(const CsrMatrix<T>& a) {
 /// Everything about factoring a fixed sparsity pattern that does not depend
 /// on the numeric values: the fill-reducing ordering, the symmetrically
 /// permuted pattern with a gather map back into the source value array, the
-/// elimination tree and LDLᵀ column pointers, and the (unpermuted) lower
-/// triangle pattern IC(0) factors on. Computed once per (subsystem,
-/// topology) and reused across Gauss–Newton iterations and DSE cycles; the
-/// fingerprint is the invalidation token — a topology change alters the
-/// gain pattern, the fingerprint stops matching, and the plan is rebuilt.
+/// elimination tree, the supernode partition and row structure of the LDLᵀ
+/// factor, and — for unordered plans — the (unpermuted) lower triangle
+/// pattern IC(0) factors on. Computed once per (subsystem, topology) and
+/// reused across Gauss–Newton iterations and DSE cycles; the fingerprint is
+/// the invalidation token — a topology change alters the gain pattern, the
+/// fingerprint stops matching, and the plan is rebuilt.
 class SymbolicPlan {
  public:
   /// Analyze the pattern of symmetric matrix `a`. With `use_ordering` an
   /// approximate minimum degree permutation is computed first; without it
-  /// the permutation is the identity (the IC(0)/PCG path needs no
-  /// reordering).
+  /// the permutation is the identity and the IC(0) facet is built (the
+  /// IC(0)/PCG path needs no reordering).
   [[nodiscard]] static SymbolicPlan analyze(const Csr& a,
                                             bool use_ordering = true);
 
@@ -88,13 +89,42 @@ class SymbolicPlan {
   [[nodiscard]] std::span<const Index> value_map() const { return ap_map_; }
   /// Elimination tree over the permuted pattern (-1 = root).
   [[nodiscard]] std::span<const Index> etree() const { return parent_; }
-  /// Column pointers of the LDLᵀ factor L (strict lower, CSC).
-  [[nodiscard]] std::span<const Index> l_col_ptr() const { return lp_; }
-  [[nodiscard]] std::size_t factor_nnz() const {
-    return lp_.empty() ? 0 : static_cast<std::size_t>(lp_.back());
+  /// Structural entries of the strict lower triangle of L (explicit zeros
+  /// that supernode amalgamation stores are not counted).
+  [[nodiscard]] std::size_t factor_nnz() const { return factor_nnz_; }
+
+  // Supernode partition of L. Supernode s owns the contiguous columns
+  // [supernode_cols()[s], supernode_cols()[s + 1]); its factor is one dense
+  // column-major lower-trapezoid panel over supernode_rows(s): first its own
+  // columns, then the sorted rows below them that any of its columns
+  // reaches. Column k of a panel with ld rows stores rows k..ld-1 (the
+  // diagonal block's strict upper triangle is not stored).
+  // supernode_value_ptr()[s] is the panel's offset in a flat store of
+  // panel_size() doubles.
+  [[nodiscard]] Index supernode_count() const {
+    return static_cast<Index>(sn_col_.size()) - 1;
   }
+  [[nodiscard]] std::span<const Index> supernode_cols() const {
+    return sn_col_;
+  }
+  [[nodiscard]] std::span<const Index> supernode_rows(Index s) const {
+    const auto i = static_cast<std::size_t>(s);
+    const auto b = static_cast<std::size_t>(sn_row_ptr_[i]);
+    const auto e = static_cast<std::size_t>(sn_row_ptr_[i + 1]);
+    return std::span<const Index>(sn_rows_).subspan(b, e - b);
+  }
+  [[nodiscard]] std::span<const std::size_t> supernode_value_ptr() const {
+    return sn_val_ptr_;
+  }
+  /// column_supernode()[j] is the supernode holding column j.
+  [[nodiscard]] std::span<const Index> column_supernode() const {
+    return col_sn_;
+  }
+  [[nodiscard]] std::size_t panel_size() const { return sn_val_ptr_.back(); }
 
   // --- IC(0) facet (unpermuted lower triangle) ------------------------------
+  // Built only for plans analyzed without ordering (the PCG path); empty on
+  // ordered plans.
   /// CSR structure of tril(A) including the diagonal.
   [[nodiscard]] std::span<const Index> lower_row_ptr() const {
     return lt_ptr_;
@@ -108,6 +138,8 @@ class SymbolicPlan {
   }
 
  private:
+  void partition_supernodes(std::span<const Index> lnz);
+
   PatternFingerprint fp_;
   bool ordered_ = true;
   std::vector<Index> perm_;      // perm_[new] = old
@@ -116,40 +148,15 @@ class SymbolicPlan {
   std::vector<Index> ap_col_;
   std::vector<Index> ap_map_;
   std::vector<Index> parent_;
-  std::vector<Index> lp_;
+  std::size_t factor_nnz_ = 0;
+  std::vector<Index> sn_col_{0};
+  std::vector<Index> sn_row_ptr_{0};
+  std::vector<Index> sn_rows_;
+  std::vector<std::size_t> sn_val_ptr_{0};
+  std::vector<Index> col_sn_;
   std::vector<Index> lt_ptr_;
   std::vector<Index> lt_col_;
   std::vector<Index> lt_map_;
 };
-
-namespace detail {
-
-/// Scratch arrays for the plan-driven numeric LDLᵀ kernel, reusable across
-/// factorizations of the same SparseLdlt.
-struct LdltScratch {
-  std::vector<double> y;
-  std::vector<Index> pattern;
-  std::vector<Index> flag;
-  std::vector<Index> lnz;
-
-  void resize(Index n);
-};
-
-/// Numeric up-looking LDLᵀ over a precomputed SymbolicPlan: gathers the
-/// permuted values of `a` through the plan's value map and fills `li`, `lx`
-/// (sized plan.factor_nnz()) and `d` (sized plan.dim()). No allocation.
-/// Throws ConvergenceFailure on a zero pivot.
-void ldlt_numeric(const SymbolicPlan& plan, const Csr& a, std::span<Index> li,
-                  std::span<double> lx, std::span<double> d,
-                  LdltScratch& scratch);
-
-/// Solve A x = b with a factor produced by ldlt_numeric. `work` must have
-/// plan.dim() doubles; b and x may not alias work.
-void ldlt_solve(const SymbolicPlan& plan, std::span<const Index> li,
-                std::span<const double> lx, std::span<const double> d,
-                std::span<const double> b, std::span<double> x,
-                std::span<double> work);
-
-}  // namespace detail
 
 }  // namespace gridse::sparse

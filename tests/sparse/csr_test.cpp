@@ -29,6 +29,55 @@ TEST(Csr, FromTripletsSumsDuplicates) {
   EXPECT_DOUBLE_EQ(m.value_at(1, 0), 0.0);
 }
 
+TEST(Csr, FromTripletsUnsortedWithDuplicatesMatchesDense) {
+  // Rows 1 and 4 stay empty; entries arrive out of row and column order
+  // with duplicates spread through the input.
+  Rng rng(17);
+  const Index rows = 6;
+  const Index cols = 5;
+  std::vector<Triplet<double>> t;
+  std::vector<double> dense(static_cast<std::size_t>(rows * cols), 0.0);
+  for (int k = 0; k < 80; ++k) {
+    auto r = static_cast<Index>(rng.uniform_int(0, rows - 1));
+    if (r == 1) r = 0;
+    if (r == 4) r = 5;
+    const auto c = static_cast<Index>(rng.uniform_int(0, cols - 1));
+    const double v = rng.uniform(-2.0, 2.0);
+    t.push_back({r, c, v});
+    dense[static_cast<std::size_t>(r * cols + c)] += v;
+  }
+  const Csr m = Csr::from_triplets(rows, cols, t);
+  EXPECT_EQ(m.row_range(1).first, m.row_range(1).second);
+  EXPECT_EQ(m.row_range(4).first, m.row_range(4).second);
+  const std::vector<double> got = m.to_dense();
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    EXPECT_NEAR(got[i], dense[i], 1e-12);
+  }
+  for (Index r = 0; r < rows; ++r) {
+    const auto [b, e] = m.row_range(r);
+    for (Index k = b + 1; k < e; ++k) {
+      EXPECT_LT(m.col_idx()[static_cast<std::size_t>(k - 1)],
+                m.col_idx()[static_cast<std::size_t>(k)]);
+    }
+  }
+}
+
+TEST(Csr, FromTripletsSumsDuplicatesInInputOrder) {
+  // 1e16 + 1 rounds the 1 away, so the sum depends on the order of the
+  // three duplicates; other entries interleaved in the input must not
+  // change it.
+  const Csr a = Csr::from_triplets(
+      2, 2, {{1, 1, 1e16}, {0, 0, 5.0}, {1, 1, -1e16}, {1, 0, 2.0},
+             {1, 1, 1.0}});
+  EXPECT_EQ(a.value_at(1, 1), 1.0);
+  const Csr b = Csr::from_triplets(
+      2, 2, {{1, 1, 1e16}, {1, 0, 2.0}, {1, 1, 1.0}, {0, 0, 5.0},
+             {1, 1, -1e16}});
+  EXPECT_EQ(b.value_at(1, 1), 0.0);
+  EXPECT_EQ(b.value_at(1, 0), 2.0);
+  EXPECT_EQ(b.value_at(0, 0), 5.0);
+}
+
 TEST(Csr, OutOfRangeTripletThrows) {
   EXPECT_THROW(Csr::from_triplets(2, 2, {{2, 0, 1.0}}), InternalError);
   EXPECT_THROW(Csr::from_triplets(2, 2, {{0, -1, 1.0}}), InternalError);

@@ -180,6 +180,17 @@ TEST(SymbolicPlan, ValueMapGathersPermutedValues) {
   }
 }
 
+TEST(SymbolicPlan, OrderedPlanCarriesNoIc0Facet) {
+  Rng rng(25);
+  const Csr a = random_spd(30, rng);
+  const SymbolicPlan ordered = SymbolicPlan::analyze(a, /*use_ordering=*/true);
+  EXPECT_TRUE(ordered.lower_row_ptr().empty());
+  EXPECT_TRUE(ordered.lower_col_idx().empty());
+  EXPECT_THROW(Ic0Preconditioner(a, ordered), InternalError);
+  const SymbolicPlan plain = SymbolicPlan::analyze(a, /*use_ordering=*/false);
+  EXPECT_EQ(plain.lower_row_ptr().size(), static_cast<std::size_t>(31));
+}
+
 TEST(SymbolicPlan, ZeroPivotThrowsInNumericKernel) {
   // Pattern factors fine; values make the second pivot exactly zero.
   const Csr a = Csr::from_triplets(2, 2, {{0, 0, 1.0}, {1, 1, 0.0}});
@@ -187,6 +198,9 @@ TEST(SymbolicPlan, ZeroPivotThrowsInNumericKernel) {
       SymbolicPlan::analyze(a, /*use_ordering=*/false));
   SparseLdlt planned;
   EXPECT_THROW(planned.factorize(a, plan), ConvergenceFailure);
+  EXPECT_FALSE(planned.factored());
+  EXPECT_THROW((void)planned.solve(std::vector<double>{1.0, 1.0}),
+               InternalError);
 }
 
 }  // namespace
